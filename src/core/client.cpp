@@ -11,15 +11,12 @@
 
 namespace wsc::cache {
 
-namespace {
-
 /// Leader-side RAII over a single-flight handle: the flight is finished
 /// exactly once no matter how the leader's frame exits.  An armed guard
 /// destroyed without an explicit outcome FAILS the flight (rather than
 /// strand followers until their timeouts) — that covers abandoned
-/// background-refresh closures and any unwinding path the typed handlers
-/// below do not catch.
-class FlightGuard {
+/// background-refresh closures.
+class CachingServiceClient::FlightGuard {
  public:
   FlightGuard(ResponseCache& cache, ResponseCache::FlightHandle handle)
       : cache_(&cache), handle_(std::move(handle)) {}
@@ -47,6 +44,8 @@ class FlightGuard {
   bool armed_ = true;
 };
 
+namespace {
+
 /// The soft TTL store()/refresh() arm for an operation: the configured
 /// fraction of the hard TTL, or zero (disabled) outside (0, 1).
 std::chrono::milliseconds soft_ttl_for(const OperationPolicy& policy) {
@@ -54,6 +53,57 @@ std::chrono::milliseconds soft_ttl_for(const OperationPolicy& policy) {
     return std::chrono::milliseconds(0);
   return std::chrono::milliseconds(static_cast<std::chrono::milliseconds::rep>(
       static_cast<double>(policy.ttl.count()) * policy.refresh_ahead));
+}
+
+/// Parses `xml` once into `sink`, teeing the events into the recorder of
+/// `rep` when `rep` is stored as a SAX event sequence, so no response is
+/// ever tokenized twice.  Other representations record nothing.
+void parse_recording(const std::string& xml, xml::ContentHandler& sink,
+                     Representation rep, xml::EventSequence& events,
+                     xml::CompactEventSequence& compact_events) {
+  if (rep == Representation::SaxEvents) {
+    xml::EventRecorder recorder;
+    xml::TeeHandler tee(sink, recorder);
+    xml::SaxParser{}.parse(xml, tee);
+    events = recorder.take();
+  } else if (rep == Representation::SaxEventsCompact) {
+    xml::CompactEventRecorder recorder;
+    xml::TeeHandler tee(sink, recorder);
+    xml::SaxParser{}.parse(xml, tee);
+    compact_events = recorder.take();
+  } else {
+    xml::SaxParser{}.parse(xml, sink);
+  }
+}
+
+/// The failures stale-if-error may absorb: the wire call failed for good
+/// (TransportError, which covers deadlines and an open breaker — retries
+/// are all below us), the origin answered with a document we cannot parse
+/// (truncated or corrupt XML from a degrading server), or it answered 5xx
+/// without a SOAP fault envelope.  A SOAP fault or a 4xx is the origin's
+/// answer to this request, not an outage, and is never masked.
+bool is_origin_failure(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const HttpError& e) {
+    return e.status() >= 500;
+  } catch (const TransportError&) {
+    return true;
+  } catch (const ParseError&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+/// Every answer served from a cached value leaves through here: label the
+/// trace with the value's representation and `outcome`, time the retrieve.
+reflect::Object serve(obs::CallTrace& trace, obs::Outcome outcome,
+                      const CachedValue& value) {
+  trace.set_representation(representation_name(value.representation()));
+  trace.set_outcome(outcome);
+  obs::StageTimer timer(trace, obs::Stage::Retrieve);
+  return value.retrieve();
 }
 
 }  // namespace
@@ -161,7 +211,7 @@ reflect::Object CachingServiceClient::invoke(
   if (!options_.caching_enabled || !policy.cacheable) {
     cache_->counters().on_uncacheable();
     trace.set_outcome(obs::Outcome::Uncacheable);
-    return remote_call(trace, request, op, RecordMode::None).object;
+    return remote_call(trace, request, op, Representation::Auto).object;
   }
 
   // Cost-profile hit sampling: every profile_sample_every-th cacheable
@@ -179,14 +229,6 @@ reflect::Object CachingServiceClient::invoke(
       hit_t0 = obs::now_ns();
     }
   }
-  const auto record_profile_hit = [&](const CachedValue& value) {
-    if (profile_hit_sample) [[unlikely]]
-      profiles->record_hit(
-          description_->name(), operation,
-          representation_name(value.representation()),
-          obs::now_ns() - hit_t0,
-          options_.profile_sample_every ? options_.profile_sample_every : 1);
-  };
 
   // Zero-allocation keygen fast path: the key material is built into a
   // per-thread reusable scratch (no owned CacheKey, no heap traffic once
@@ -200,263 +242,155 @@ reflect::Object CachingServiceClient::invoke(
     obs::StageTimer timer(trace, obs::Stage::KeyGen);
     keygen_->generate_into(request, scratch);
   }
-  const bool allow_stale = policy.staleness.stale_if_error.count() > 0;
-  const bool swr_on = policy.staleness.stale_while_revalidate.count() > 0;
-  const bool refresh_ahead_on = policy.refresh_ahead > 0.0;
-  // Revalidation (§3.2 HTTP hook): a stale entry with a Last-Modified may
-  // be renewed by a conditional request instead of refetched.  A
-  // stale-if-error grace needs the same stale-exposing lookup: the plain
-  // lookup() eagerly evicts an expired entry, which would destroy the
-  // degraded-mode fallback before the wire call gets a chance to fail.
-  // stale-while-revalidate needs it for the same reason, and refresh-ahead
-  // needs it because only this lookup can win the soft-TTL claim.
-  std::optional<std::chrono::seconds> revalidate_since;
-  bool had_stale_entry = false;
-  if (policy.revalidate || allow_stale || swr_on || refresh_ahead_on) {
-    ResponseCache::StaleLookup stale = [&] {
-      obs::StageTimer timer(trace, obs::Stage::Lookup);
-      return cache_->lookup_for_revalidation(scratch.ref());
-    }();
-    if (stale.fresh) {
-      trace.set_representation(
-          representation_name(stale.value->representation()));
-      trace.set_outcome(obs::Outcome::Hit);
-      reflect::Object object = [&] {
-        obs::StageTimer timer(trace, obs::Stage::Retrieve);
-        return stale.value->retrieve();
-      }();
-      record_profile_hit(*stale.value);
-      if (stale.refresh_ahead) {
-        // This hit won the entry's one-shot soft-TTL claim: renew the
-        // entry in the background before it ever expires.  If scheduling
-        // fails (queue saturated, flights down), nothing is lost — the
-        // entry simply expires and the next miss fetches synchronously.
-        cache_->counters().on_refresh_ahead();
-        obs::event_log().emit(
-            obs::EventKind::RefreshAhead,
-            description_->name() + "." + operation,
-            "soft TTL elapsed; refreshing ahead of expiry");
-        schedule_refresh(operation, request, op, policy, scratch.to_key());
-      }
-      return object;
+
+  // The one lookup.  An expired entry is kept (uncounted) only when this
+  // operation can use it: revalidation renews it, stale-while-revalidate
+  // and stale-if-error serve it, and refresh-ahead needs the claim only a
+  // keeping lookup takes.  Otherwise it is evicted on sight, exactly as
+  // the fresh-only lookup() does.
+  const bool keep_stale =
+      policy.revalidate || policy.staleness.stale_if_error.count() > 0 ||
+      policy.staleness.stale_while_revalidate.count() > 0 ||
+      policy.refresh_ahead > 0.0;
+  const ResponseCache::StaleLookup entry = [&] {
+    obs::StageTimer timer(trace, obs::Stage::Lookup);
+    return cache_->lookup_entry(scratch.ref(),
+                                keep_stale ? ResponseCache::Expired::Keep
+                                           : ResponseCache::Expired::Evict);
+  }();
+  // §3.2's If-Modified-Since hook: revalidate against the entry we hold.
+  const std::optional<std::chrono::seconds> since =
+      policy.revalidate ? entry.last_modified : std::nullopt;
+
+  if (entry.fresh) {
+    reflect::Object object = serve(trace, obs::Outcome::Hit, *entry.value);
+    if (profile_hit_sample) [[unlikely]]
+      profiles->record_hit(
+          description_->name(), operation,
+          representation_name(entry.value->representation()),
+          obs::now_ns() - hit_t0,
+          options_.profile_sample_every ? options_.profile_sample_every : 1);
+    if (entry.refresh_ahead) {
+      // This hit won the entry's one-shot soft-TTL claim: renew the
+      // entry in the background before it ever expires.  If scheduling
+      // fails (queue saturated, flights down), nothing is lost — the
+      // entry simply expires and the next miss fetches synchronously.
+      cache_->counters().on_refresh_ahead();
+      obs::event_log().emit(obs::EventKind::RefreshAhead,
+                            description_->name() + "." + operation,
+                            "soft TTL elapsed; refreshing ahead of expiry");
+      schedule_refresh(request, op, policy, scratch.to_key(), since);
     }
-    if (stale.value) {
-      had_stale_entry = true;
-      if (swr_on &&
-          stale.staleness <= policy.staleness.stale_while_revalidate) {
-        // RFC 5861 stale-while-revalidate: the entry expired within the
-        // grace, so serve it NOW and let one background refresh renew it —
-        // a TTL-expiry storm on a hot key never parks callers on the wire.
-        if (schedule_refresh(operation, request, op, policy,
-                             scratch.to_key())) {
-          cache_->counters().on_swr_serve();
-          if (profiles) [[unlikely]]
-            profiles->record_stale(
-                description_->name(), operation,
-                representation_name(stale.value->representation()));
-          trace.set_representation(
-              representation_name(stale.value->representation()));
-          trace.set_outcome(obs::Outcome::StaleRevalidate);
-          obs::StageTimer timer(trace, obs::Stage::Retrieve);
-          return stale.value->retrieve();
-        }
-        // No refresh will run: fall through to the synchronous miss path.
-      }
-      if (policy.revalidate) revalidate_since = stale.last_modified;
-    }
-  } else {
-    std::shared_ptr<const CachedValue> value = [&] {
-      obs::StageTimer timer(trace, obs::Stage::Lookup);
-      return cache_->lookup(scratch.ref());
-    }();
-    if (value) {
-      trace.set_representation(representation_name(value->representation()));
-      trace.set_outcome(obs::Outcome::Hit);
-      reflect::Object object = [&] {
-        obs::StageTimer timer(trace, obs::Stage::Retrieve);
-        return value->retrieve();
-      }();
-      record_profile_hit(*value);
-      return object;
-    }
+    return object;
   }
 
-  // Miss path from here on: materialize the owned key once.
+  // Not fresh from here on: materialize the owned key once.
   CacheKey key = scratch.to_key();
+
+  const auto swr = policy.staleness.stale_while_revalidate;
+  if (entry.value && swr.count() > 0 && entry.staleness <= swr &&
+      schedule_refresh(request, op, policy, key, since)) {
+    // RFC 5861 stale-while-revalidate: the entry expired within the grace,
+    // so serve it NOW and let one background refresh renew it — a
+    // TTL-expiry storm on a hot key never parks callers on the wire.  When
+    // no refresh will run, fall through to the synchronous miss path.
+    cache_->counters().on_swr_serve();
+    if (profiles) [[unlikely]]
+      profiles->record_stale(
+          description_->name(), operation,
+          representation_name(entry.value->representation()));
+    return serve(trace, obs::Outcome::StaleRevalidate, *entry.value);
+  }
 
   // Resolve the representation — static WSDL traits, steered by the
   // adaptive policy when wired — so the miss path knows before parsing
   // whether to tee the events.
   const ResolvedRepresentation resolved =
       resolve_representation(policy, op, operation);
-  const Representation rep = resolved.representation;
-  trace.set_representation(representation_name(rep));
+  trace.set_representation(representation_name(resolved.representation));
+
+  // A stale entry that did not serve this call is counted as a miss once
+  // a fresh answer replaces it (an absent one was counted by the lookup).
+  const auto count_stale_miss = [&] {
+    if (entry.value) cache_->counters().on_miss();
+  };
 
   // Single-flight: join (or open) this key's in-flight call.  First joiner
   // leads and makes the wire call below; everyone else parks here.
   ResponseCache::FlightHandle flight;
   if (options_.coalesce_misses) flight = cache_->join_flight(key.ref());
-  if (flight && !flight.leader) {
-    ResponseCache::FlightResult led =
-        cache_->wait_flight(flight, options_.coalesce_wait);
-    switch (led.outcome) {
-      case ResponseCache::FlightWait::Value: {
-        // The leader stored a fresh entry and handed it over directly.
-        if (had_stale_entry) cache_->counters().on_miss();
-        trace.set_representation(
-            representation_name(led.value->representation()));
-        trace.set_outcome(obs::Outcome::Coalesced);
-        obs::StageTimer timer(trace, obs::Stage::Retrieve);
-        return led.value->retrieve();
-      }
-      case ResponseCache::FlightWait::Error:
-        // The ONE broadcast failure.  Each follower makes its own
-        // degraded-mode decision, exactly as if it had called and failed.
-        if (std::optional<reflect::Object> fallback =
-                serve_stale_on_error(trace, operation, key, policy))
-          return *fallback;
-        std::rethrow_exception(led.error);
-      case ResponseCache::FlightWait::Timeout:
-        // Our deadline, not the leader's: the leader may still succeed for
-        // everyone else.  Degrade if the policy allows, else time out.
-        if (std::optional<reflect::Object> fallback =
-                serve_stale_on_error(trace, operation, key, policy))
-          return *fallback;
-        throw TimeoutError("timed out waiting for the in-flight call to '" +
-                           operation + "'");
-      case ResponseCache::FlightWait::Shutdown:
-        throw Error("cache shut down while waiting for in-flight call to '" +
-                    operation + "'");
-      case ResponseCache::FlightWait::NoValue:
-        break;  // leader's answer was not storable — make our own call
-    }
-    flight = {};  // NoValue: proceed uncoalesced
-  }
-
   std::optional<FlightGuard> guard;
-  if (flight && flight.leader) {
-    // Close the lookup->join window: a previous leader may have completed
-    // and stored between our miss and our winning leadership.  Probe
-    // side-effect-free so the race check never pollutes hit/miss counts.
-    ResponseCache::StaleLookup raced = cache_->lookup_allow_stale(key);
-    if (raced.fresh) {
-      cache_->complete_flight(flight, raced.value);
-      if (had_stale_entry) cache_->counters().on_miss();
-      trace.set_representation(
-          representation_name(raced.value->representation()));
-      trace.set_outcome(obs::Outcome::Coalesced);
-      obs::StageTimer timer(trace, obs::Stage::Retrieve);
-      return raced.value->retrieve();
-    }
-    guard.emplace(*cache_, std::move(flight));
-  }
-
-  const std::uint64_t miss_t0 =
-      options_.slow_call_threshold_ns ? obs::now_ns() : 0;
-
-  CallResult result;
   try {
-    result =
-        remote_call(trace, request, op, record_mode_for(rep), revalidate_since);
-
-    if (result.not_modified) {
-      // 304: the stale representation is still current — renew its lease
-      // and serve from it (no reparse, no re-store).
-      if (cache_->refresh(key, policy.ttl, soft_ttl_for(policy))) {
-        if (std::shared_ptr<const CachedValue> value = cache_->lookup(key)) {
-          if (guard) guard->complete(value);
-          trace.set_outcome(obs::Outcome::Revalidated);
-          obs::StageTimer timer(trace, obs::Stage::Retrieve);
-          return value->retrieve();
-        }
+    if (flight && !flight.leader) {
+      ResponseCache::FlightResult led =
+          cache_->wait_flight(flight, options_.coalesce_wait);
+      switch (led.outcome) {
+        case ResponseCache::FlightWait::Value:
+          // The leader stored a fresh entry and handed it over directly.
+          count_stale_miss();
+          return serve(trace, obs::Outcome::Coalesced, *led.value);
+        case ResponseCache::FlightWait::Error:
+          // The ONE broadcast failure.  Each follower makes its own
+          // degraded-mode decision below, as if it had called and failed.
+          std::rethrow_exception(led.error);
+        case ResponseCache::FlightWait::Timeout:
+          // Our deadline, not the leader's: the leader may still succeed
+          // for everyone else.
+          throw TimeoutError("timed out waiting for the in-flight call to '" +
+                             operation + "'");
+        case ResponseCache::FlightWait::Shutdown:
+          throw Error("cache shut down while waiting for in-flight call to '" +
+                      operation + "'");
+        case ResponseCache::FlightWait::NoValue:
+          break;  // leader's answer was not storable — make our own call
       }
-      // The entry was evicted while we revalidated: refetch unconditionally.
-      result = remote_call(trace, request, op, record_mode_for(rep));
+      flight = {};  // NoValue: proceed uncoalesced
     }
-  } catch (const HttpError& error) {
-    // Broadcast the failure BEFORE degrading locally: followers wake with
-    // the one error and make their own stale-if-error decisions.
+    if (flight) {
+      // Close the lookup->join window: a previous leader may have
+      // completed and stored between our miss and our winning leadership.
+      // Probe side-effect-free so the race check never pollutes hit/miss
+      // counts.
+      ResponseCache::StaleLookup raced = cache_->lookup_allow_stale(key);
+      if (raced.fresh) {
+        cache_->complete_flight(flight, raced.value);
+        count_stale_miss();
+        return serve(trace, obs::Outcome::Coalesced, *raced.value);
+      }
+      guard.emplace(*cache_, std::move(flight));
+    }
+
+    const std::uint64_t miss_t0 =
+        options_.slow_call_threshold_ns ? obs::now_ns() : 0;
+    Fetched fetched = fetch_and_store(trace, request, op, policy, key,
+                                      resolved, since,
+                                      guard ? &*guard : nullptr);
+    if (fetched.renewed) {
+      // A 304 renewed the entry we hold: serving it is a hit.
+      cache_->counters().on_hit();
+      return serve(trace, obs::Outcome::Revalidated, *fetched.renewed);
+    }
+    count_stale_miss();  // stale + changed
+    if (options_.slow_call_threshold_ns) [[unlikely]] {
+      const std::uint64_t elapsed = obs::now_ns() - miss_t0;
+      if (elapsed > options_.slow_call_threshold_ns)
+        obs::event_log().emit(obs::EventKind::SlowCall,
+                              description_->name() + "." + operation,
+                              "miss path exceeded slow-call threshold",
+                              elapsed);
+    }
+    return std::move(fetched.object);
+  } catch (...) {
+    // The one error funnel.  Broadcast the failure BEFORE degrading
+    // locally: followers wake with the one error and make their own
+    // stale-if-error decisions.
     if (guard) guard->fail(std::current_exception());
-    // 5xx without a SOAP fault envelope: the origin itself is failing.
-    if (error.status() >= 500)
+    if (is_origin_failure(std::current_exception()))
       if (std::optional<reflect::Object> stale =
               serve_stale_on_error(trace, operation, key, policy))
-        return *stale;
-    throw;
-  } catch (const TransportError&) {
-    // Retries, deadline, and breaker are all below us (RetryingTransport);
-    // reaching here means the wire call failed for good.
-    if (guard) guard->fail(std::current_exception());
-    if (std::optional<reflect::Object> stale =
-            serve_stale_on_error(trace, operation, key, policy))
-      return *stale;
-    throw;
-  } catch (const ParseError&) {
-    // The origin answered, but with a document we cannot parse (truncated
-    // or corrupt XML from a degrading server) — an availability failure
-    // from the application's point of view, same as no answer at all.
-    if (guard) guard->fail(std::current_exception());
-    if (std::optional<reflect::Object> stale =
-            serve_stale_on_error(trace, operation, key, policy))
-      return *stale;
-    throw;
-  } catch (...) {
-    // SoapFault and everything else: still exactly one broadcast.
-    if (guard) guard->fail(std::current_exception());
+        return std::move(*stale);
     throw;
   }
-  if (had_stale_entry) cache_->counters().on_miss();  // stale + changed
-  trace.set_outcome(obs::Outcome::Miss);
-
-  std::optional<std::chrono::milliseconds> ttl =
-      options_.policy.effective_ttl(policy, result.directives);
-  if (ttl) {
-    obs::StageTimer timer(trace, obs::Stage::Store);
-    ResponseCapture capture;
-    capture.response_xml = &result.response_xml;
-    capture.events = &result.events;
-    capture.compact_events = &result.compact_events;
-    capture.object = result.object;
-    capture.op = share_op(op);
-    // Store cost for the profile = representation capture + cache insert
-    // (the Table 8 store-side cost of the chosen representation).
-    const std::uint64_t store_t0 = profiles ? obs::now_ns() : 0;
-    std::shared_ptr<const CachedValue> value = make_cached_value(rep, capture);
-    const std::uint64_t entry_bytes =
-        profiles ? key.memory_size() + value->memory_size() : 0;
-    cache_->store(key, value, *ttl, result.last_modified,
-                  soft_ttl_for(policy));
-    // Wake followers AFTER the store, with the stored value itself: they
-    // retrieve() directly, no second lookup, no window to miss in.
-    if (guard) guard->complete(std::move(value));
-    if (profiles) [[unlikely]]
-      profiles->record_miss(description_->name(), operation,
-                            representation_name(rep), result.deserialize_ns,
-                            obs::now_ns() - store_t0, entry_bytes);
-    // Adaptive exploration: a sampled store also shadow-probes one
-    // alternative representation from the same captured response.  After
-    // the store and the flight completion, so probing never delays the
-    // answer or any parked follower.
-    if (resolved.probe != Representation::Auto) [[unlikely]]
-      run_probe(op, operation, resolved.probe, result, key);
-  } else {
-    util::log(util::LogLevel::Debug, "server directives suppressed caching of ",
-              operation);
-    // Nothing stored: followers wake with NoValue and call on their own.
-    if (guard) guard->complete(nullptr);
-    if (profiles) [[unlikely]]
-      profiles->record_miss(description_->name(), operation,
-                            representation_name(rep), result.deserialize_ns,
-                            /*store_ns=*/0, /*bytes=*/0);
-  }
-  if (options_.slow_call_threshold_ns) [[unlikely]] {
-    const std::uint64_t elapsed = obs::now_ns() - miss_t0;
-    if (elapsed > options_.slow_call_threshold_ns)
-      obs::event_log().emit(obs::EventKind::SlowCall,
-                            description_->name() + "." + operation,
-                            "miss path exceeded slow-call threshold", elapsed);
-  }
-  return result.object;
 }
 
 CachingServiceClient::ResolvedRepresentation
@@ -507,21 +441,14 @@ void CachingServiceClient::run_probe(const wsdl::OperationInfo& op,
     // samples stay comparable.
     xml::EventSequence events;
     xml::CompactEventSequence compact_events;
-    if (probe == Representation::SaxEvents) {
-      xml::EventRecorder recorder;
-      xml::SaxParser{}.parse(result.response_xml, recorder);
-      events = recorder.take();
-    } else if (probe == Representation::SaxEventsCompact) {
-      xml::CompactEventRecorder recorder;
-      xml::SaxParser{}.parse(result.response_xml, recorder);
-      compact_events = recorder.take();
+    if (probe == Representation::SaxEvents ||
+        probe == Representation::SaxEventsCompact) {
+      xml::ContentHandler discard;
+      parse_recording(result.response_xml, discard, probe, events,
+                      compact_events);
     }
-    ResponseCapture capture;
-    capture.response_xml = &result.response_xml;
-    capture.events = &events;
-    capture.compact_events = &compact_events;
-    capture.object = result.object;
-    capture.op = share_op(op);
+    ResponseCapture capture{&result.response_xml, &events, &compact_events,
+                            result.object, share_op(op)};
     // What a store of this representation would cost...
     const std::uint64_t store_t0 = obs::now_ns();
     std::shared_ptr<const CachedValue> value = make_cached_value(probe, capture);
@@ -540,11 +467,10 @@ void CachingServiceClient::run_probe(const wsdl::OperationInfo& op,
   }
 }
 
-bool CachingServiceClient::schedule_refresh(const std::string& operation,
-                                            const soap::RpcRequest& request,
-                                            const wsdl::OperationInfo& op,
-                                            const OperationPolicy& policy,
-                                            const CacheKey& key) {
+bool CachingServiceClient::schedule_refresh(
+    const soap::RpcRequest& request, const wsdl::OperationInfo& op,
+    const OperationPolicy& policy, const CacheKey& key,
+    std::optional<std::chrono::seconds> since) {
   // The in-flight table deduplicates refreshes the same way it coalesces
   // misses: only the joiner that LEADS enqueues work, so a storm of SWR
   // hits on one key costs one background wire call.
@@ -555,10 +481,18 @@ bool CachingServiceClient::schedule_refresh(const std::string& operation,
   // a shared_ptr; whichever copy dies last (queue slot, worker frame, or
   // this frame) settles the flight if nothing else did.
   auto guard = std::make_shared<FlightGuard>(*cache_, std::move(handle));
-  auto job = [this, guard, operation, request, shared = share_op(op), policy,
-              key]() {
+  auto job = [this, guard, request, shared = share_op(op), policy, key,
+              since]() {
+    // Background refreshes trace like any call (they show up in /trace and
+    // the slow-call log) but deliberately touch NO hit/miss counters: the
+    // foreground caller already accounted for this request.
+    obs::CallTrace trace(description_->name(), request.operation);
     try {
-      guard->complete(perform_refresh(operation, request, *shared, policy, key));
+      const ResolvedRepresentation resolved =
+          resolve_representation(policy, *shared, request.operation);
+      trace.set_representation(representation_name(resolved.representation));
+      fetch_and_store(trace, request, *shared, policy, key, resolved, since,
+                      guard.get());
     } catch (...) {
       guard->fail(std::current_exception());
     }
@@ -570,59 +504,67 @@ bool CachingServiceClient::schedule_refresh(const std::string& operation,
   return false;
 }
 
-std::shared_ptr<const CachedValue> CachingServiceClient::perform_refresh(
-    const std::string& operation, const soap::RpcRequest& request,
+CachingServiceClient::Fetched CachingServiceClient::fetch_and_store(
+    obs::CallTrace& trace, const soap::RpcRequest& request,
     const wsdl::OperationInfo& op, const OperationPolicy& policy,
-    const CacheKey& key) {
-  // Background refreshes trace like any call (they show up in /trace and
-  // the slow-call log) but deliberately touch NO hit/miss counters: the
-  // foreground caller already accounted for this request.
-  obs::CallTrace trace(description_->name(), operation);
-  const ResolvedRepresentation resolved =
-      resolve_representation(policy, op, operation);
+    const CacheKey& key, const ResolvedRepresentation& resolved,
+    std::optional<std::chrono::seconds> since, FlightGuard* guard) {
   const Representation rep = resolved.representation;
-  trace.set_representation(representation_name(rep));
-  std::optional<std::chrono::seconds> since;
-  if (policy.revalidate)
-    since = cache_->lookup_allow_stale(key).last_modified;
-
-  CallResult result = remote_call(trace, request, op, record_mode_for(rep),
-                                  since);
+  CallResult result = remote_call(trace, request, op, rep, since);
   if (result.not_modified) {
-    // 304: renew the lease (re-arming the soft TTL) and hand the still-
-    // current value to any flight followers.
+    // 304: the cached representation is still current — renew its lease
+    // (re-arming the soft TTL) and serve from it: no reparse, no re-store.
     if (cache_->refresh(key, policy.ttl, soft_ttl_for(policy))) {
-      trace.set_outcome(obs::Outcome::Revalidated);
-      return cache_->lookup_allow_stale(key).value;
+      if (std::shared_ptr<const CachedValue> value =
+              cache_->lookup_allow_stale(key).value) {
+        if (guard) guard->complete(value);
+        trace.set_outcome(obs::Outcome::Revalidated);
+        return {{}, std::move(value)};
+      }
     }
-    result = remote_call(trace, request, op, record_mode_for(rep));
+    // The entry was evicted while we revalidated: refetch unconditionally.
+    result = remote_call(trace, request, op, rep);
   }
-
   trace.set_outcome(obs::Outcome::Miss);
+
+  obs::CostProfiles* const profiles = options_.profiles.get();
   std::optional<std::chrono::milliseconds> ttl =
       options_.policy.effective_ttl(policy, result.directives);
-  if (!ttl) return nullptr;  // directives suppressed the store
+  if (!ttl) {
+    util::log(util::LogLevel::Debug, "server directives suppressed caching of ",
+              request.operation);
+    // Nothing stored: followers wake with NoValue and call on their own.
+    if (guard) guard->complete(nullptr);
+    if (profiles) [[unlikely]]
+      profiles->record_miss(description_->name(), request.operation,
+                            representation_name(rep), result.deserialize_ns,
+                            /*store_ns=*/0, /*bytes=*/0);
+    return {std::move(result.object), nullptr};
+  }
 
   obs::StageTimer timer(trace, obs::Stage::Store);
-  ResponseCapture capture;
-  capture.response_xml = &result.response_xml;
-  capture.events = &result.events;
-  capture.compact_events = &result.compact_events;
-  capture.object = result.object;
-  capture.op = share_op(op);
-  obs::CostProfiles* const profiles = options_.profiles.get();
+  ResponseCapture capture{&result.response_xml, &result.events,
+                          &result.compact_events, result.object, share_op(op)};
+  // Store cost for the profile = representation capture + cache insert
+  // (the Table 8 store-side cost of the chosen representation).
   const std::uint64_t store_t0 = profiles ? obs::now_ns() : 0;
   std::shared_ptr<const CachedValue> value = make_cached_value(rep, capture);
-  const std::uint64_t entry_bytes =
-      profiles ? key.memory_size() + value->memory_size() : 0;
   cache_->store(key, value, *ttl, result.last_modified, soft_ttl_for(policy));
+  const std::uint64_t store_ns = profiles ? obs::now_ns() - store_t0 : 0;
+  // Wake followers AFTER the store, with the stored value itself: they
+  // retrieve() directly, no second lookup, no window to miss in.
+  if (guard) guard->complete(value);
   if (profiles) [[unlikely]]
-    profiles->record_miss(description_->name(), operation,
+    profiles->record_miss(description_->name(), request.operation,
                           representation_name(rep), result.deserialize_ns,
-                          obs::now_ns() - store_t0, entry_bytes);
+                          store_ns, key.memory_size() + value->memory_size());
+  // Adaptive exploration: a sampled store also shadow-probes one
+  // alternative representation from the same captured response.  After
+  // the store and the flight completion, so probing never delays the
+  // answer or any parked follower.
   if (resolved.probe != Representation::Auto) [[unlikely]]
-    run_probe(op, operation, resolved.probe, result, key);
-  return value;
+    run_probe(op, request.operation, resolved.probe, result, key);
+  return {std::move(result.object), nullptr};
 }
 
 std::optional<reflect::Object> CachingServiceClient::serve_stale_on_error(
@@ -647,14 +589,12 @@ std::optional<reflect::Object> CachingServiceClient::serve_stale_on_error(
   util::log(util::LogLevel::Debug,
             "origin unavailable: serving stale cache entry within "
             "stale_if_error grace");
-  trace.set_outcome(obs::Outcome::StaleServe);
-  obs::StageTimer timer(trace, obs::Stage::Retrieve);
-  return entry.value->retrieve();
+  return serve(trace, obs::Outcome::StaleServe, *entry.value);
 }
 
 CachingServiceClient::CallResult CachingServiceClient::remote_call(
     obs::CallTrace& trace, const soap::RpcRequest& request,
-    const wsdl::OperationInfo& op, RecordMode record,
+    const wsdl::OperationInfo& op, Representation stored_as,
     std::optional<std::chrono::seconds> if_modified_since) {
   CallResult out;
   transport::WireRequest wire_request;
@@ -695,21 +635,8 @@ CachingServiceClient::CallResult CachingServiceClient::remote_call(
   soap::ResponseReader reader(op);
   {
     obs::StageTimer timer(trace, obs::Stage::Parse);
-    if (record == RecordMode::Legacy) {
-      // One parse feeds both the deserializer and the recorder (miss path
-      // of the SAX representations never tokenizes twice).
-      xml::EventRecorder recorder;
-      xml::TeeHandler tee(reader, recorder);
-      xml::SaxParser{}.parse(out.response_xml, tee);
-      out.events = recorder.take();
-    } else if (record == RecordMode::Compact) {
-      xml::CompactEventRecorder recorder;
-      xml::TeeHandler tee(reader, recorder);
-      xml::SaxParser{}.parse(out.response_xml, tee);
-      out.compact_events = recorder.take();
-    } else {
-      xml::SaxParser{}.parse(out.response_xml, reader);
-    }
+    parse_recording(out.response_xml, reader, stored_as, out.events,
+                    out.compact_events);
   }
   {
     obs::StageTimer timer(trace, obs::Stage::Deserialize);

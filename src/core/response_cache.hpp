@@ -76,34 +76,9 @@ class ResponseCache {
   /// Wakes every parked single-flight waiter (shutdown_flights()).
   ~ResponseCache();
 
-  /// Fresh-entry lookup.  Returns the stored value (shared; retrieve() is
-  /// const and thread-safe) or nullptr on miss/expired.  Counts
-  /// hits/misses/expirations and sets the entry's CLOCK reference mark.
-  /// Hits take only a shared lock: concurrent hits never serialize.
-  std::shared_ptr<const CachedValue> lookup(const CacheKey& key);
-  /// Zero-allocation variant: looks up borrowed key material (a
-  /// KeyScratch's ref()) without constructing an owned CacheKey.
-  std::shared_ptr<const CachedValue> lookup(const CacheKeyRef& key);
-
-  /// Insert or replace.  `ttl` bounds the entry's life from now;
-  /// `last_modified` (server-supplied) enables later revalidation.
-  /// A non-positive TTL is a no-op counted as `rejected_stores`: an
-  /// already-expired entry must never charge the byte budget (where it
-  /// could evict live entries before lazy expiry noticed it).
-  /// A positive `soft_ttl` (< ttl) arms the refresh-ahead claim: the first
-  /// lookup_for_revalidation() hit after `soft_ttl` elapses wins a
-  /// one-shot claim (StaleLookup::refresh_ahead) to refresh the entry in
-  /// the background before it expires.
-  void store(const CacheKey& key, std::shared_ptr<const CachedValue> value,
-             std::chrono::milliseconds ttl,
-             std::optional<std::chrono::seconds> last_modified = std::nullopt,
-             std::chrono::milliseconds soft_ttl = std::chrono::milliseconds(0));
-
-  /// Lookup that also exposes an expired ("stale") entry so the caller can
-  /// revalidate it with a conditional request instead of refetching
-  /// (§3.2's If-Modified-Since hook).  Stale entries are NOT removed and
-  /// no hit/miss is counted for them — the caller reports the outcome via
-  /// refresh() (304) or store() (full response).
+  /// The state of one entry as a lookup found it: absent (null value),
+  /// fresh, fresh with the refresh-ahead claim won, or stale (expired but
+  /// still present, with how stale and its Last-Modified).
   struct StaleLookup {
     std::shared_ptr<const CachedValue> value;  // null on true miss
     bool fresh = false;
@@ -116,16 +91,48 @@ class ResponseCache {
     /// one background refresh.  Re-armed by store()/refresh().
     bool refresh_ahead = false;
   };
-  StaleLookup lookup_for_revalidation(const CacheKey& key);
-  StaleLookup lookup_for_revalidation(const CacheKeyRef& key);
 
-  /// Degraded-mode lookup (stale-if-error): same exposure of expired
-  /// entries as lookup_for_revalidation but with NO side effects — no
-  /// hit/miss accounting, no recency mark, and crucially no expiry
-  /// eviction, so the fallback entry a failing wire call needs cannot be
-  /// destroyed by the lookup that finds it.  The fresh-only lookup()
-  /// semantics are unchanged.  Callers report the outcome themselves
-  /// (CacheStats::on_stale_serve for a degraded read).
+  /// What a lookup does with an entry found past its expiry.  Evict
+  /// erases it and counts an expiration and a miss (lookup()'s fresh-only
+  /// contract).  Keep returns it as stale and counts nothing, leaving the
+  /// outcome to the caller: refresh() on a 304, store() on a full answer,
+  /// CacheStats for a stale serve.  Only Keep takes the refresh-ahead
+  /// claim, since only such a caller can act on it.
+  enum class Expired : std::uint8_t { Evict, Keep };
+
+  /// The one counting lookup: a fresh entry counts a hit and sets its
+  /// CLOCK reference mark, an absent one counts a miss, an expired one is
+  /// handled as `expired` says.  Hits take only a shared lock: concurrent
+  /// hits never serialize.  The CacheKeyRef overload probes a KeyScratch's
+  /// borrowed material without constructing an owned CacheKey.
+  StaleLookup lookup_entry(const CacheKey& key,
+                           Expired expired = Expired::Keep);
+  StaleLookup lookup_entry(const CacheKeyRef& key,
+                           Expired expired = Expired::Keep);
+
+  /// Fresh-only lookup: lookup_entry(key, Expired::Evict).value, i.e. the
+  /// stored value (shared; retrieve() is const and thread-safe) or null.
+  std::shared_ptr<const CachedValue> lookup(const CacheKey& key);
+  std::shared_ptr<const CachedValue> lookup(const CacheKeyRef& key);
+
+  /// Insert or replace.  `ttl` bounds the entry's life from now;
+  /// `last_modified` (server-supplied) enables later revalidation.
+  /// A non-positive TTL is a no-op counted as `rejected_stores`: an
+  /// already-expired entry must never charge the byte budget (where it
+  /// could evict live entries before lazy expiry noticed it).
+  /// A positive `soft_ttl` (< ttl) arms the refresh-ahead claim: the first
+  /// Keep lookup_entry() hit after `soft_ttl` elapses wins a one-shot
+  /// claim (StaleLookup::refresh_ahead) to refresh the entry in the
+  /// background before it expires.
+  void store(const CacheKey& key, std::shared_ptr<const CachedValue> value,
+             std::chrono::milliseconds ttl,
+             std::optional<std::chrono::seconds> last_modified = std::nullopt,
+             std::chrono::milliseconds soft_ttl = std::chrono::milliseconds(0));
+
+  /// Side-effect-free read of an entry's state (stale-if-error fallback,
+  /// race re-checks): no hit/miss accounting, no recency mark, no claim,
+  /// and crucially no expiry eviction, so the fallback entry a failing
+  /// wire call needs cannot be destroyed by the lookup that finds it.
   StaleLookup lookup_allow_stale(const CacheKey& key) const;
 
   /// Give an existing (possibly expired) entry a new lease after a 304.
@@ -251,8 +258,8 @@ class ResponseCache {
   struct Entry {
     std::shared_ptr<const CachedValue> value;  // replaced under unique_lock
     std::atomic<Tick> expiry{0};
-    /// Refresh-ahead claim: the tick after which the FIRST revalidation
-    /// lookup wins a one-shot background-refresh claim (CAS to 0, the
+    /// Refresh-ahead claim: the tick after which the FIRST Keep lookup
+    /// wins a one-shot background-refresh claim (CAS to 0, the
     /// "disabled/claimed" sentinel).  Re-armed by store()/refresh().
     std::atomic<Tick> soft_expiry{0};
     /// CLOCK reference bit: set (relaxed) by every hit, cleared by the
@@ -310,9 +317,9 @@ class ResponseCache {
   }
 
   template <typename KeyLike>
-  std::shared_ptr<const CachedValue> lookup_impl(const KeyLike& key);
-  template <typename KeyLike>
-  StaleLookup lookup_for_revalidation_impl(const KeyLike& key);
+  StaleLookup lookup_impl(const KeyLike& key, Expired expired);
+  /// An entry's value, validator and freshness at tick `now`.
+  static StaleLookup read_entry(const Entry& entry, Tick now);
 
   /// Sampled hot-key offer; the caller has already checked hot_enabled_.
   void offer_hot_key(Shard& shard, std::string_view material);

@@ -72,7 +72,7 @@ TEST(HitpathHammerTest, AllOperationsRaceCleanlyOnOneShard) {
             }
             break;
           case 3: {
-            auto stale = cache.lookup_for_revalidation(k);
+            auto stale = cache.lookup_entry(k);
             if (stale.value && !stale.fresh)
               cache.refresh(k, milliseconds(50));
             break;

@@ -97,7 +97,7 @@ TEST(KeygenScratchTest, RefLookupFindsEntryStoredUnderOwnedKey) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->retrieve().as<std::int32_t>(), 7);
   // And through the revalidation probe as well.
-  EXPECT_TRUE(cache.lookup_for_revalidation(scratch.ref()).fresh);
+  EXPECT_TRUE(cache.lookup_entry(scratch.ref()).fresh);
 }
 
 TEST(KeygenScratchTest, SteadyStateHitPathDoesNotAllocate) {

@@ -41,7 +41,7 @@ TEST(StaleLookupTest, FreshEntryCountsHit) {
   ResponseCache cache(ResponseCache::Config{}, clock);
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(100),
               seconds(42));
-  ResponseCache::StaleLookup s = cache.lookup_for_revalidation(CacheKey("k"));
+  ResponseCache::StaleLookup s = cache.lookup_entry(CacheKey("k"));
   EXPECT_TRUE(s.fresh);
   ASSERT_NE(s.value, nullptr);
   EXPECT_EQ(s.last_modified, seconds(42));
@@ -54,7 +54,7 @@ TEST(StaleLookupTest, ExpiredEntryExposedWithoutCounting) {
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(100),
               seconds(42));
   clock.advance(milliseconds(200));
-  ResponseCache::StaleLookup s = cache.lookup_for_revalidation(CacheKey("k"));
+  ResponseCache::StaleLookup s = cache.lookup_entry(CacheKey("k"));
   EXPECT_FALSE(s.fresh);
   ASSERT_NE(s.value, nullptr);  // stale but present
   EXPECT_EQ(cache.stats().hits, 0u);
@@ -64,7 +64,7 @@ TEST(StaleLookupTest, ExpiredEntryExposedWithoutCounting) {
 
 TEST(StaleLookupTest, AbsentEntryCountsMiss) {
   ResponseCache cache;
-  ResponseCache::StaleLookup s = cache.lookup_for_revalidation(CacheKey("nope"));
+  ResponseCache::StaleLookup s = cache.lookup_entry(CacheKey("nope"));
   EXPECT_EQ(s.value, nullptr);
   EXPECT_FALSE(s.fresh);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -196,7 +196,7 @@ TEST(RevalidationFlowTest, StaleEntriesStayUsableWhileRevalidating) {
   ResponseCache cache(ResponseCache::Config{}, clock);
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(10));
   clock.advance(milliseconds(20));
-  ResponseCache::StaleLookup s = cache.lookup_for_revalidation(CacheKey("k"));
+  ResponseCache::StaleLookup s = cache.lookup_entry(CacheKey("k"));
   cache.store(CacheKey("k"), std::make_shared<DummyValue>(), milliseconds(10));
   EXPECT_EQ(s.value->retrieve().as<std::int32_t>(), 7);
 }
