@@ -61,6 +61,15 @@ std::uint64_t now_ns() {
           .count());
 }
 
+/// Query `k` of churn round `round`: "p<round>-k<k>".
+std::string churn_query(int round, int k) {
+  std::string q = "p";
+  q += std::to_string(round);
+  q += "-k";
+  q += std::to_string(k);
+  return q;
+}
+
 std::vector<Parameter> search_params(const std::string& q) {
   return {Parameter{"key", Object::make(std::string(32, '0'))},
           Parameter{"q", Object::make(q)},
@@ -154,8 +163,7 @@ RunResult run_variant(const std::shared_ptr<transport::Transport>& transport,
       }
     } else {
       for (int k = 0; k < rc.churn_keys; ++k)
-        client.invoke(kOp, search_params("p" + std::to_string(round) + "-k" +
-                                         std::to_string(k)));
+        client.invoke(kOp, search_params(churn_query(round, k)));
     }
     if (policy) policy->decide_now();
   }
@@ -169,8 +177,7 @@ RunResult run_variant(const std::shared_ptr<transport::Transport>& transport,
   int counted = 0;
   for (int k = 0; k < std::min(rc.churn_keys, 64); ++k) {
     const cache::CacheKey key = client.key_for(
-        kOp, search_params("p" + std::to_string(last_churn) + "-k" +
-                           std::to_string(k)));
+        kOp, search_params(churn_query(last_churn, k)));
     if (std::shared_ptr<const cache::CachedValue> value =
             response_cache->lookup(key)) {
       bytes += static_cast<double>(value->memory_size());

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,12 +104,11 @@ std::string self_exe() {
 /// Re-exec ourselves as the load client and parse its JSON report.
 util::json::Value spawn_client(std::uint16_t port, std::size_t connections,
                                long duration_ms, long warmup_ms) {
-  std::string cmd = "'" + self_exe() + "'" +
-                    " --client --port " + std::to_string(port) +
-                    " --connections " + std::to_string(connections) +
-                    " --duration-ms " + std::to_string(duration_ms) +
-                    " --warmup-ms " + std::to_string(warmup_ms);
-  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  std::ostringstream cmd;
+  cmd << '\'' << self_exe() << "' --client --port " << port
+      << " --connections " << connections << " --duration-ms " << duration_ms
+      << " --warmup-ms " << warmup_ms;
+  std::FILE* pipe = ::popen(cmd.str().c_str(), "r");
   if (!pipe) throw TransportError("popen failed for load client");
   std::string out;
   char buf[4096];

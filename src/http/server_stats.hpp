@@ -39,7 +39,8 @@ struct ServerStats {
 /// One consistent-enough JSON object for the portal's /stats endpoint.
 inline std::string server_stats_json(const ServerStats& s) {
   auto field = [](const char* name, std::uint64_t v) {
-    return "\"" + std::string(name) + "\": " + std::to_string(v);
+    return std::string("\"").append(name).append("\": ").append(
+        std::to_string(v));
   };
   std::string out = "{";
   out += field("connections_accepted", s.get(s.connections_accepted)) + ", ";

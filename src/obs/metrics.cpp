@@ -344,8 +344,11 @@ std::string MetricsRegistry::json_text() const {
              "\", \"labels\": {";
       for (std::size_t j = 0; j < sample.labels.size(); ++j) {
         if (j) out += ", ";
-        out += "\"" + json_escape(sample.labels[j].first) + "\": \"" +
-               json_escape(sample.labels[j].second) + "\"";
+        out.append("\"")
+            .append(json_escape(sample.labels[j].first))
+            .append("\": \"")
+            .append(json_escape(sample.labels[j].second))
+            .append("\"");
       }
       out += "}, \"value\": " + format_value(sample.value) + "}";
     }

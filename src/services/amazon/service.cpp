@@ -87,7 +87,8 @@ AmazonSearchResult AmazonBackend::search(const std::string& operation,
   result.products.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     ProductSummary p;
-    p.asin = "B" + std::to_string(100000000 + rng.next_below(900000000));
+    p.asin = "B";
+    p.asin += std::to_string(100000000 + rng.next_below(900000000));
     p.title = rng.next_sentence(5);
     p.manufacturer = rng.next_word(4, 12);
     p.listPrice = 5.0 + rng.next_double() * 200.0;

@@ -45,7 +45,10 @@ std::uint16_t Uri::effective_port() const {
 
 std::string Uri::to_string() const {
   std::string s = scheme + "://" + host;
-  if (port != 0) s += ":" + std::to_string(port);
+  if (port != 0) {
+    s += ':';
+    s += std::to_string(port);
+  }
   s += path;
   return s;
 }

@@ -162,7 +162,8 @@ TEST(ClockEvictionTest, SweepStatisticsAccumulate) {
   cache.store(key("a"), value(1), minutes(1));
   cache.store(key("b"), value(2), minutes(1));
   for (int i = 0; i < 8; ++i)
-    cache.store(key("k" + std::to_string(i)), value(i), minutes(1));
+    cache.store(key(std::string("k").append(std::to_string(i))), value(i),
+                minutes(1));
   StatsSnapshot s = cache.stats();
   EXPECT_EQ(s.evictions, 8u);
   EXPECT_GE(s.clock_sweeps, s.evictions);

@@ -136,7 +136,8 @@ TEST(ResponseCacheTest, PurgeExpiredSweepsEagerly) {
   util::ManualClock clock;
   ResponseCache cache(ResponseCache::Config{}, clock);
   for (int i = 0; i < 10; ++i)
-    cache.store(key("k" + std::to_string(i)), value(i), milliseconds(5));
+    cache.store(key(std::string("k").append(std::to_string(i))), value(i),
+                milliseconds(5));
   cache.store(key("keeper"), value(99), minutes(1));
   clock.advance(milliseconds(10));
   EXPECT_EQ(cache.purge_expired(), 10u);
@@ -167,7 +168,8 @@ TEST(ResponseCacheTest, ClockEvictionAtEntryCap) {
 TEST(ResponseCacheTest, ByteBudgetEviction) {
   ResponseCache cache(ResponseCache::Config{.max_bytes = 1000, .shards = 1});
   for (int i = 0; i < 10; ++i)
-    cache.store(key("k" + std::to_string(i)), value(i, 300), minutes(1));
+    cache.store(key(std::string("k").append(std::to_string(i))), value(i, 300),
+                minutes(1));
   EXPECT_LE(cache.bytes_used(), 1000u + 400u);  // one entry may straddle
   EXPECT_LT(cache.entry_count(), 10u);
   EXPECT_GT(cache.stats().evictions, 0u);
@@ -199,7 +201,8 @@ TEST(ResponseCacheTest, InvalidateRemovesEntry) {
 TEST(ResponseCacheTest, ClearEmptiesEverything) {
   ResponseCache cache;
   for (int i = 0; i < 5; ++i)
-    cache.store(key("k" + std::to_string(i)), value(i), minutes(1));
+    cache.store(key(std::string("k").append(std::to_string(i))), value(i),
+                minutes(1));
   cache.clear();
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.bytes_used(), 0u);

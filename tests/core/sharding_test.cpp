@@ -34,12 +34,13 @@ TEST_P(ShardCounts, BasicOperationsBehaveIdentically) {
   config.shards = GetParam();
   ResponseCache cache(config);
   for (int i = 0; i < 200; ++i) {
-    cache.store(CacheKey("k" + std::to_string(i)),
+    cache.store(CacheKey(std::string("k").append(std::to_string(i))),
                 std::make_shared<IdValue>(i), minutes(1));
   }
   EXPECT_EQ(cache.entry_count(), 200u);
   for (int i = 0; i < 200; ++i) {
-    auto v = cache.lookup(CacheKey("k" + std::to_string(i)));
+    auto v =
+        cache.lookup(CacheKey(std::string("k").append(std::to_string(i))));
     ASSERT_NE(v, nullptr) << i;
     EXPECT_EQ(v->retrieve().as<std::int32_t>(), i);
   }
@@ -56,7 +57,7 @@ TEST_P(ShardCounts, BudgetsEnforcedPerShard) {
   config.max_entries = 64;
   ResponseCache cache(config);
   for (int i = 0; i < 1000; ++i) {
-    cache.store(CacheKey("k" + std::to_string(i)),
+    cache.store(CacheKey(std::string("k").append(std::to_string(i))),
                 std::make_shared<IdValue>(i), minutes(1));
   }
   // Total stays at or under the global budget regardless of sharding.
@@ -70,7 +71,7 @@ TEST_P(ShardCounts, TtlExpiryStillExact) {
   config.shards = GetParam();
   ResponseCache cache(config, clock);
   for (int i = 0; i < 50; ++i) {
-    cache.store(CacheKey("k" + std::to_string(i)),
+    cache.store(CacheKey(std::string("k").append(std::to_string(i))),
                 std::make_shared<IdValue>(i), std::chrono::milliseconds(10));
   }
   clock.advance(std::chrono::milliseconds(20));

@@ -120,7 +120,7 @@ TEST(ConcurrencyTest, EvictionChurnUnderParallelLoad) {
       o.policy = services::google::default_google_policy();
       GoogleClient local(transport, kEndpoint, cache_ptr, o);
       for (int i = 0; i < 60; ++i) {
-        std::string q = "q" + std::to_string((t + i) % 24);
+        std::string q = std::string("q").append(std::to_string((t + i) % 24));
         GoogleSearchResult r = local.doGoogleSearch(q);
         if (r.searchQuery != q) failures.fetch_add(1);
       }

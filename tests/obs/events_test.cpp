@@ -30,7 +30,8 @@ TEST(EventLogTest, EmitAndSnapshotRoundTrip) {
 TEST(EventLogTest, RingWrapDropsOldestKeepsSeq) {
   EventLog log(4);
   for (int i = 1; i <= 6; ++i)
-    log.emit(EventKind::SlowCall, "s", "e" + std::to_string(i),
+    log.emit(EventKind::SlowCall, "s",
+             std::string("e").append(std::to_string(i)),
              static_cast<std::uint64_t>(i));
   std::vector<Event> events = log.snapshot();
   ASSERT_EQ(events.size(), 4u);

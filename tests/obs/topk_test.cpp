@@ -14,7 +14,8 @@ namespace {
 TEST(TopKSketchTest, ExactWhileUnderCapacity) {
   TopKSketch sketch(8);
   for (int i = 0; i < 5; ++i)
-    for (int n = 0; n <= i; ++n) sketch.offer("k" + std::to_string(i));
+    for (int n = 0; n <= i; ++n)
+      sketch.offer(std::string("k").append(std::to_string(i)));
 
   std::vector<TopKSketch::HotKey> entries = sketch.entries();
   ASSERT_EQ(entries.size(), 5u);

@@ -155,7 +155,8 @@ TEST(HttpTransportTest, ConnectionsAreReused) {
   util::Uri endpoint = util::Uri::parse(server->base_url() + "/svc");
   for (int i = 0; i < 25; ++i) {
     WireResponse response = transport.post(
-        endpoint, "", echo_request_xml("n" + std::to_string(i)));
+        endpoint, "",
+        echo_request_xml(std::string("n").append(std::to_string(i))));
     EXPECT_EQ(decode_echo(response.body), "echo:n" + std::to_string(i));
   }
   server->stop();

@@ -90,7 +90,7 @@ TEST(JsonParseTest, DepthLimitGuardsRecursion) {
 
 TEST(JsonRoundTripTest, EscapedStringsSurviveParsing) {
   const std::string nasty = "quote\" slash\\ newline\n tab\t ctrl\x02";
-  Value parsed = parse("\"" + escape(nasty) + "\"");
+  Value parsed = parse(std::string("\"").append(escape(nasty)).append("\""));
   EXPECT_EQ(parsed.string, nasty);
 }
 

@@ -54,7 +54,9 @@ TEST(WsdlWriterTest, ComplexTypesIncludeTransitiveClosure) {
   for (const char* name :
        {"GoogleSearchResult", "ResultElement", "DirectoryCategory",
         "ArrayOfResultElement", "ArrayOfDirectoryCategory"}) {
-    EXPECT_NE(doc.find("\"" + std::string(name) + "\""), std::string::npos) << name;
+    EXPECT_NE(doc.find(std::string("\"").append(name).append("\"")),
+              std::string::npos)
+        << name;
   }
 }
 

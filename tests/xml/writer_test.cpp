@@ -86,7 +86,8 @@ TEST(WriterTest, DepthTracksNesting) {
 TEST(WriterTest, OutputReparsesToSameStructure) {
   Writer w(false);
   w.start_element("root").attribute("id", "1");
-  for (int i = 0; i < 3; ++i) w.text_element("item", "v" + std::to_string(i));
+  for (int i = 0; i < 3; ++i)
+    w.text_element("item", std::string("v").append(std::to_string(i)));
   w.end_element();
   Document doc = parse_document(w.finish());
   EXPECT_EQ(doc.root->name().local, "root");

@@ -5,8 +5,8 @@
 // and prints one JSON report line (rps + latency percentiles).
 //
 //   build/tools/loadgen --port 8080 --connections 100 --duration-ms 5000
-//   build/tools/loadgen --port 8080 --connections 1000 --rps 5000 \
-//       --target /portal?q=hello
+//   build/tools/loadgen --port 8080 --connections 1000 --rps 5000
+//       --target /portal?q=hello   (one command line)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -2,14 +2,15 @@
 // service contract over HTTP, building parameters from the command line
 // and rendering the result reflectively.
 //
-//   build/tools/soapcall <endpoint-url> <google|amazon|quotes|news> \
+//   build/tools/soapcall <endpoint-url> <google|amazon|quotes|news>
 //                        <operation> [name=value ...] [--xml] [--twice]
 //
 //   --xml    print the raw response document instead of the decoded object
 //   --twice  invoke twice through a response cache and report the hit
 //
-// Example against a locally served dummy (see examples/quickstart):
-//   build/tools/soapcall http://127.0.0.1:8080/soap/google google \
+// Example against a locally served dummy (see examples/quickstart), as
+// one command line:
+//   build/tools/soapcall http://127.0.0.1:8080/soap/google google
 //       doSpellingSuggestion key=k phrase="web servies" --twice
 #include <cstdio>
 #include <cstring>
